@@ -24,8 +24,10 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzRequestPackageUnmarshal -fuzztime 20s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzReplyUnmarshal -fuzztime 10s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzMuxFrame -fuzztime 10s ./internal/broker/transport
+	$(GO) test -run NONE -fuzz FuzzServerPreamble -fuzztime 10s ./internal/broker/transport
 	$(GO) test -run NONE -fuzz FuzzWALReplay -fuzztime 10s ./internal/broker/wal
 	$(GO) test -run NONE -fuzz FuzzHandoffUnmarshal -fuzztime 10s ./internal/broker
+	$(GO) test -run NONE -fuzz FuzzStatsUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzTokenUnmarshal -fuzztime 10s ./internal/auth
 
 bench:

@@ -241,14 +241,11 @@ func UnmarshalRawListInto(data []byte, out [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Per-item outcome flags of the batch encodings. Since the error-code
-// protocol revision the flag byte doubles as the error's wire code
-// (OutcomeCodeBase+code); the bare outcomeErr value is what legacy peers
-// wrote, and both directions stay compatible because every decoder — old and
-// new — treats any nonzero flag as "error, text follows".
+// Per-item outcome flags of the batch encodings: outcomeOK, or the error's
+// wire code as OutcomeCodeBase+code followed by the error text. A nonzero
+// flag below OutcomeCodeBase is a malformed frame.
 const (
-	outcomeOK  byte = 0
-	outcomeErr byte = 1
+	outcomeOK byte = 0
 	// OutcomeCodeBase offsets an ErrCode into the outcome-flag (and response
 	// status) byte space: a coded error is written as OutcomeCodeBase+code.
 	OutcomeCodeBase byte = 0x10
@@ -256,7 +253,7 @@ const (
 
 // appendError appends an outcome flag plus the error text for failed items.
 // The flag carries the error's wire code so the far side can reconstruct the
-// sentinel; legacy decoders see any nonzero flag as a plain text error.
+// sentinel.
 func appendError(buf []byte, err error) []byte {
 	if err == nil {
 		return append(buf, outcomeOK)
@@ -266,29 +263,25 @@ func appendError(buf []byte, err error) []byte {
 }
 
 // readError reads the flag written by appendError, reconstructing failed
-// items as the coded sentinel (or a WireError preserving text and code); a
-// legacy flag without a code yields an opaque text error.
-func readError(r *reader) (error, bool, error) {
+// items as the coded sentinel (or a WireError preserving text and code). A
+// nonzero flag below OutcomeCodeBase, like a truncated outcome, is a decode
+// error.
+func readError(r *reader) (error, error) {
 	flag, err := r.byte()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if flag == outcomeOK {
-		return nil, true, nil
+		return nil, nil
+	}
+	if flag < OutcomeCodeBase {
+		return nil, ErrMalformedFrame
 	}
 	msg, err := r.string16()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	code := CodeNone
-	if flag >= OutcomeCodeBase {
-		code = ErrCode(flag - OutcomeCodeBase)
-	} else {
-		// Legacy peer: infer the code from the documented sentinel text so
-		// errors.Is keeps working across a rolling upgrade.
-		code = LegacyErrCodeOf(msg)
-	}
-	return DecodeWireError(code, msg), true, nil
+	return DecodeWireError(ErrCode(flag-OutcomeCodeBase), msg), nil
 }
 
 // MarshalSubmitResults encodes the per-item outcomes of a SubmitBatch.
@@ -320,8 +313,8 @@ func UnmarshalSubmitResults(data []byte) ([]SubmitResult, error) {
 	}
 	out := make([]SubmitResult, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		if itemErr != nil {
@@ -408,8 +401,8 @@ func UnmarshalErrorList(data []byte) ([]error, error) {
 	}
 	out := make([]error, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		out[i] = itemErr
@@ -485,8 +478,8 @@ func UnmarshalFetchResults(data []byte) ([]FetchResult, error) {
 	}
 	out := make([]FetchResult, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		if itemErr != nil {
@@ -609,22 +602,11 @@ func UnmarshalStats(data []byte) (Stats, error) {
 			return st, fmt.Errorf("%w: prime", ErrMalformedFrame)
 		}
 	}
-	// The durability counters are a revision-2 tail: a revision-1 frame ends
-	// cleanly after the primes, and tolerating that absence (as zeros) keeps
-	// new clients working against old brokers.
-	if r.remaining() == 0 {
-		return st, nil
-	}
 	if st.Recovered, err = r.uint64(); err != nil {
 		return st, fmt.Errorf("%w: recovered", ErrMalformedFrame)
 	}
 	if st.WALBytes, err = r.uint64(); err != nil {
 		return st, fmt.Errorf("%w: wal bytes", ErrMalformedFrame)
-	}
-	// The replication counters are a revision-3 tail, tolerated absent (as
-	// zeros) the same way the revision-2 durability tail is.
-	if r.remaining() == 0 {
-		return st, nil
 	}
 	for _, dst := range []*uint64{
 		&st.Replication.HintsQueued, &st.Replication.HintsStreamed,

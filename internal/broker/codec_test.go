@@ -118,43 +118,50 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsDecodesOldRevisions pins the compatibility rule of
-// docs/PROTOCOL.md §2.7: a frame from a broker predating the durability
-// counters ends after the primes (revision 1), one predating the replication
-// counters ends after WALBytes (revision 2), and the current encoding carries
-// both tails (revision 3). Every revision must decode, with absent tails
-// zero and present tails intact.
-func TestStatsDecodesOldRevisions(t *testing.T) {
-	st := Stats{
-		Shards: 2, Workers: 1,
-		PerShard:  []ShardStats{{}, {}},
-		Primes:    []uint32{11},
+// statsSample is a snapshot with every field of the stats encoding set,
+// down to the durability and replication counters at its tail.
+func statsSample() Stats {
+	return Stats{
+		Shards: 2, Workers: 1, Held: 3,
+		Totals:    ShardStats{Held: 3, Submitted: 4, RepliesIn: 1},
+		PerShard:  []ShardStats{{Held: 1}, {Held: 2, Expired: 5}},
+		Primes:    []uint32{11, 13},
 		Recovered: 21, WALBytes: 4096,
-		Replication: ReplicationStats{HintsQueued: 5, HandoffApplied: 3},
+		Replication: ReplicationStats{HintsQueued: 5, HandoffApplied: 3, ReplicaDedup: 1},
 	}
-	full := MarshalStats(st)
-	rev2 := st
-	rev2.Replication = ReplicationStats{}
-	rev1 := rev2
-	rev1.Recovered, rev1.WALBytes = 0, 0
-	cases := []struct {
-		name string
-		enc  []byte
-		want Stats
-	}{
-		{"rev1", full[:len(full)-64], rev1}, // ends after the primes
-		{"rev2", full[:len(full)-48], rev2}, // ends after WALBytes
-		{"rev3", full, st},                  // current: full replication tail
+}
+
+// TestStatsRejectsEveryPrefix pins the single stats encoding: every proper
+// prefix of a valid frame — including one that ends right before the
+// durability or the replication counters — is ErrMalformedFrame.
+func TestStatsRejectsEveryPrefix(t *testing.T) {
+	full := MarshalStats(statsSample())
+	if _, err := UnmarshalStats(full); err != nil {
+		t.Fatalf("full frame: %v", err)
 	}
-	for _, tc := range cases {
-		got, err := UnmarshalStats(tc.enc)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := UnmarshalStats(full[:cut]); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrMalformedFrame", cut, len(full), err)
+		}
+	}
+}
+
+// FuzzStatsUnmarshal hardens the stats decoder: arbitrary bytes must never
+// panic, and every frame it accepts must re-encode byte-identically — the
+// encoding has exactly one form per snapshot.
+func FuzzStatsUnmarshal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(MarshalStats(Stats{}))
+	f.Add(MarshalStats(statsSample()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := UnmarshalStats(data)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			return
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("%s decode:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		if again := MarshalStats(st); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n in %x\nout %x", data, again)
 		}
-	}
+	})
 }
 
 func TestReplyPostRoundTrip(t *testing.T) {
@@ -168,18 +175,18 @@ func TestReplyPostRoundTrip(t *testing.T) {
 }
 
 // TestCodecRejectsTruncation walks every prefix of each encoding and demands
-// a clean ErrMalformedFrame (never a panic, never silent acceptance).
+// a clean ErrMalformedFrame (never a panic, never silent acceptance). Stats
+// frames get the same walk in TestStatsRejectsEveryPrefix.
 func TestCodecRejectsTruncation(t *testing.T) {
 	q := MarshalSweepQuery(SweepQuery{
 		Residues: []core.ResidueSet{core.NewResidueSet(11, []uint32{5})},
 		Seen:     []string{"x"},
 	})
 	res := MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1}}}, Scanned: 1})
-	st := MarshalStats(Stats{Shards: 1, PerShard: []ShardStats{{}}, Primes: []uint32{11}})
 	post := MarshalReplyPost("id", []byte{1})
 	list := MarshalRawList([][]byte{{1, 2}})
 
-	for name, enc := range map[string][]byte{"query": q, "result": res, "stats": st, "post": post, "list": list} {
+	for name, enc := range map[string][]byte{"query": q, "result": res, "post": post, "list": list} {
 		for cut := 0; cut < len(enc); cut++ {
 			var err error
 			switch name {
@@ -187,14 +194,6 @@ func TestCodecRejectsTruncation(t *testing.T) {
 				_, err = UnmarshalSweepQuery(enc[:cut])
 			case "result":
 				_, err = UnmarshalSweepResult(enc[:cut])
-			case "stats":
-				if cut == len(enc)-48 || cut == len(enc)-64 {
-					// Exactly the replication counters missing (revision-2
-					// frame) or those plus the durability counters (revision
-					// 1): well-formed old frames, accepted by design.
-					continue
-				}
-				_, err = UnmarshalStats(enc[:cut])
 			case "post":
 				_, _, err = UnmarshalReplyPost(enc[:cut])
 			case "list":

@@ -47,7 +47,7 @@ func TestErrCodeClassification(t *testing.T) {
 
 // TestDecodeWireError covers the three decode shapes: exact sentinel text
 // returns the sentinel value itself, wrapped text keeps both text and
-// errors.Is identity, and uncoded text stays opaque.
+// errors.Is identity, and CodeNone text stays opaque.
 func TestDecodeWireError(t *testing.T) {
 	if got := DecodeWireError(CodeUnknownBottle, ErrUnknownBottle.Error()); got != ErrUnknownBottle {
 		t.Fatalf("exact text decode = %v, want the sentinel value", got)
@@ -59,51 +59,27 @@ func TestDecodeWireError(t *testing.T) {
 	if wrapped.Error() != "rack r1: broker: unknown bottle id" {
 		t.Fatalf("wrapped decode lost text: %q", wrapped.Error())
 	}
-	opaque := DecodeWireError(CodeNone, "legacy text")
-	if opaque.Error() != "legacy text" {
-		t.Fatalf("legacy decode = %q", opaque.Error())
+	opaque := DecodeWireError(CodeNone, "uncoded text")
+	if opaque.Error() != "uncoded text" {
+		t.Fatalf("CodeNone decode = %q", opaque.Error())
 	}
 	var we *WireError
 	if errors.As(opaque, &we) {
-		t.Fatal("legacy decode must stay opaque, not a coded WireError")
+		t.Fatal("CodeNone decode must stay opaque, not a coded WireError")
 	}
 }
 
-// TestErrorListLegacyFlagFallback hand-crafts a pre-code batch outcome list
-// (flag byte 1, text only) and proves the new decoder still reads it:
-// documented sentinel texts recover their errors.Is identity (rolling
-// upgrades keep routing), unrecognized texts stay opaque.
-func TestErrorListLegacyFlagFallback(t *testing.T) {
-	appendLegacyErr := func(buf []byte, msg string) []byte {
-		buf = append(buf, outcomeErr) // legacy error flag, no code
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(msg)))
-		return append(buf, msg...)
-	}
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, 3)
-	buf = append(buf, outcomeOK)
-	buf = appendLegacyErr(buf, ErrUnknownBottle.Error())
-	buf = appendLegacyErr(buf, "weird legacy failure")
-
-	errs, err := UnmarshalErrorList(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs[0] != nil {
-		t.Fatalf("item 0 = %v, want nil", errs[0])
-	}
-	if !errors.Is(errs[1], ErrUnknownBottle) {
-		t.Fatalf("legacy sentinel text = %v, want errors.Is ErrUnknownBottle", errs[1])
-	}
-	if errs[1].Error() != ErrUnknownBottle.Error() {
-		t.Fatalf("legacy sentinel text mangled: %q", errs[1].Error())
-	}
-	if errs[2] == nil || errs[2].Error() != "weird legacy failure" {
-		t.Fatalf("item 2 = %v, want the opaque legacy text", errs[2])
-	}
-	var we *WireError
-	if errors.As(errs[2], &we) {
-		t.Fatal("unrecognized legacy text must stay opaque")
+// TestErrorListRejectsUncodedFlag proves a nonzero outcome flag below
+// OutcomeCodeBase is a malformed frame: no error text is read and matched
+// against the sentinels.
+func TestErrorListRejectsUncodedFlag(t *testing.T) {
+	for flag := byte(1); flag < OutcomeCodeBase; flag++ {
+		buf := binary.BigEndian.AppendUint32(nil, 1)
+		buf = append(buf, flag)
+		buf = appendString16(buf, ErrUnknownBottle.Error())
+		if _, err := UnmarshalErrorList(buf); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("flag %#x: err = %v, want ErrMalformedFrame", flag, err)
+		}
 	}
 }
 

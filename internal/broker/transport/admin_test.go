@@ -40,7 +40,7 @@ func TestAdminScope(t *testing.T) {
 // TestAdminDrain exercises the drain lifecycle over the wire: drained racks
 // refuse new submits with the typed ErrDraining but keep serving reads,
 // sweeps, stats, replica traffic and further admin commands; undrain
-// restores submits. Both framings see the same status.
+// restores submits. Every connection sees the same status.
 func TestAdminDrain(t *testing.T) {
 	rep := newFakeReplica()
 	l := startAuthServer(t, ServerOptions{Replica: rep})
@@ -79,15 +79,11 @@ func TestAdminDrain(t *testing.T) {
 		t.Fatalf("drained Handoff = %d, %v; want 1, nil", n, err)
 	}
 
-	// Lock-step framing agrees on the drain state.
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn, Options{})
-	defer c.Close()
-	if st, err := c.Admin(context.Background(), broker.AdminRequest{Verb: broker.AdminVerbStatus}); err != nil || !st.Draining {
-		t.Fatalf("lock-step status = %+v, %v; want Draining=true", st, err)
+	// A second connection agrees on the drain state: it is the server's, not
+	// the connection's.
+	other := dialMuxPipe(t, l, Options{})
+	if st, err := other.Admin(context.Background(), broker.AdminRequest{Verb: broker.AdminVerbStatus}); err != nil || !st.Draining {
+		t.Fatalf("second connection status = %+v, %v; want Draining=true", st, err)
 	}
 
 	if st, err := m.Admin(context.Background(), broker.AdminRequest{Verb: broker.AdminVerbUndrain}); err != nil || st.Draining {

@@ -7,7 +7,7 @@ import (
 )
 
 // Allocation budgets for the steady-state framing paths. Frames ride pooled
-// buffers on both framings, so a warmed write is alloc-free; the server-side
+// buffers, so a warmed write is alloc-free; the server-side
 // pooled read is alloc-free too. The client read path (readMuxFrame) is
 // deliberately NOT pinned at zero: it allocates one buffer per response by
 // design, because body ownership passes to the caller whose zero-copy decodes
@@ -28,12 +28,6 @@ func TestFramingAllocFree(t *testing.T) {
 
 	requireZeroAllocs(t, "mux frame write", func() {
 		if err := writeMuxFrame(io.Discard, 7, OpSubmit, body); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	requireZeroAllocs(t, "lock-step frame write", func() {
-		if err := writeFrame(io.Discard, OpSubmit, body); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -64,7 +66,7 @@ func dialMuxPipe(tb testing.TB, l *PipeListener, opts Options) *Mux {
 
 // TestAuthRequiredNoToken verifies that a connection presenting no token to a
 // server that requires one receives a typed ErrUnauthorized answer for every
-// operation — on both framings, with the connection surviving the denial.
+// operation, with the connection surviving the denial.
 func TestAuthRequiredNoToken(t *testing.T) {
 	key := testAuthKey(t)
 	l := startAuthServer(t, ServerOptions{AuthKey: key})
@@ -79,18 +81,8 @@ func TestAuthRequiredNoToken(t *testing.T) {
 	if _, err := m.Stats(context.Background()); !errors.Is(err, broker.ErrUnauthorized) {
 		t.Fatalf("mux Stats err = %v, want ErrUnauthorized", err)
 	}
-
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn)
-	defer c.Close()
-	if _, err := c.Submit(context.Background(), raw); !errors.Is(err, broker.ErrUnauthorized) {
-		t.Fatalf("lock-step Submit err = %v, want ErrUnauthorized", err)
-	}
-	if _, err := c.Fetch(context.Background(), "nope"); !errors.Is(err, broker.ErrUnauthorized) {
-		t.Fatalf("lock-step Fetch err = %v, want ErrUnauthorized", err)
+	if _, err := m.Fetch(context.Background(), "nope"); !errors.Is(err, broker.ErrUnauthorized) {
+		t.Fatalf("mux Fetch err = %v, want ErrUnauthorized", err)
 	}
 }
 
@@ -259,32 +251,59 @@ func startTLSServer(tb testing.TB, opts ServerOptions) string {
 	return l.Addr().String()
 }
 
-// TestFramingAutoDetectOverTLS proves the dual-framing auto-detect survives
-// the TLS wrap: one secured, authenticated server port serves a multiplexed
-// client and a lock-step client end to end, each sniffed from its first bytes
-// inside the encrypted stream.
-func TestFramingAutoDetectOverTLS(t *testing.T) {
-	key := testAuthKey(t)
-	srvOpts, cliOpts := tlsPair(t, false)
-	srvOpts.AuthKey = key
-	cliOpts.Token = mintToken(t, key, "alice", auth.OpsClient)
+// TestLockStepFrameRejected proves the server speaks one framing: a
+// connection that opens with a lock-step frame — a length prefix and an
+// opcode where the SBM1 magic belongs — is closed without a single operation
+// dispatched, on a plain and on a TLS stream, and the port keeps serving mux
+// clients end to end (over TLS with a capability token).
+func TestLockStepFrameRejected(t *testing.T) {
+	raw, _ := buildRaw(t, 1)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(raw)))
+	frame = append(frame, OpSubmit)
+	frame = append(frame, raw...)
+	for _, secure := range []bool{false, true} {
+		name := "plain"
+		srvOpts, cliOpts := ServerOptions{}, Options{}
+		if secure {
+			name = "tls"
+			key := testAuthKey(t)
+			srvOpts, cliOpts = tlsPair(t, false)
+			srvOpts.AuthKey = key
+			cliOpts.Token = mintToken(t, key, "alice", auth.OpsClient)
+		}
+		t.Run(name, func(t *testing.T) {
+			addr := startTLSServer(t, srvOpts)
+			conn, err := dialNetConn(addr, cliOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			// The server answers nothing and closes: the read ends in EOF or
+			// a reset, never in data or the deadline.
+			n, err := conn.Read(make([]byte, 1))
+			if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read after lock-step frame = %d, %v; want the connection closed", n, err)
+			}
 
-	// Fresh server per framing: exerciseEndToEnd asserts absolute counters.
-	muxAddr := startTLSServer(t, srvOpts)
-	m, err := DialMux(muxAddr, cliOpts)
-	if err != nil {
-		t.Fatal(err)
+			m, err := DialMux(addr, cliOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			st, err := m.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Totals.Submitted != 0 {
+				t.Fatalf("Submitted = %d after a lock-step submit frame, want 0", st.Totals.Submitted)
+			}
+			exerciseEndToEnd(t, m)
+		})
 	}
-	defer m.Close()
-	exerciseEndToEnd(t, m)
-
-	lockAddr := startTLSServer(t, srvOpts)
-	c, err := Dial(lockAddr, cliOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseEndToEnd(t, c)
 }
 
 // TestMutualTLS verifies mTLS both ways: a certificate-bearing client is

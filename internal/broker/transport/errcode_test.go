@@ -13,120 +13,98 @@ import (
 
 // TestErrCodeRoundTripOverWire is the error-code round-trip table test: every
 // exported sentinel provoked against a real rack must survive the trip
-// rack → server → client → errors.Is, over both framings, with the full
-// remote text preserved. This is what lets the ring (and any caller) test
-// transported errors structurally instead of matching strings.
+// rack → server → client → errors.Is, with the full remote text preserved.
+// This is what lets the ring (and any caller) test transported errors
+// structurally instead of matching strings. The subtest names the framing
+// the trip is made over; the multiplexed framing is the only one left.
 func TestErrCodeRoundTripOverWire(t *testing.T) {
-	for _, framing := range []string{"mux", "lockstep"} {
-		t.Run(framing, func(t *testing.T) {
-			rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
-			defer rack.Close()
-			l := ListenPipe()
-			srv := NewServer(rack)
-			go srv.Serve(l)
-			defer func() { l.Close(); srv.Close() }()
+	t.Run("mux", testErrCodeRoundTripMux)
+}
 
-			conn, err := l.Dial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var c rackClient
-			if framing == "mux" {
-				m, err := NewMux(conn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer m.Close()
-				c = m
-			} else {
-				cl := NewClient(conn)
-				defer cl.Close()
-				c = cl
-			}
+func testErrCodeRoundTripMux(t *testing.T) {
+	c, cleanup := newMuxPair(t)
+	defer cleanup()
 
-			ctx := context.Background()
-			raw, pkg := buildRaw(t, 7)
-			if _, err := c.Submit(ctx, raw); err != nil {
-				t.Fatal(err)
-			}
+	ctx := context.Background()
+	raw, _ := buildRaw(t, 7)
+	if _, err := c.Submit(ctx, raw); err != nil {
+		t.Fatal(err)
+	}
 
-			// An already-expired package provokes the Expired sentinel.
-			expiredBuilt, err := core.BuildRequest(core.PerfectMatch(attr.MustNew("interest", "chess")),
-				core.BuildOptions{Origin: "old", Validity: time.Nanosecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			expiredRaw, err := expiredBuilt.Package.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(5 * time.Millisecond)
+	// An already-expired package provokes the Expired sentinel.
+	expiredBuilt, err := core.BuildRequest(core.PerfectMatch(attr.MustNew("interest", "chess")),
+		core.BuildOptions{Origin: "old", Validity: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expiredRaw, err := expiredBuilt.Package.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
 
-			cases := []struct {
-				name     string
-				provoke  func() error
-				sentinel error
-			}{
-				{
-					name:     "unknown bottle",
-					provoke:  func() error { _, err := c.Fetch(ctx, "no-such-bottle"); return err },
-					sentinel: broker.ErrUnknownBottle,
-				},
-				{
-					name:     "duplicate bottle",
-					provoke:  func() error { _, err := c.Submit(ctx, raw); return err },
-					sentinel: broker.ErrDuplicateBottle,
-				},
-				{
-					name: "bad query",
-					provoke: func() error {
-						_, err := c.Sweep(ctx, broker.SweepQuery{})
-						return err
-					},
-					sentinel: broker.ErrBadQuery,
-				},
-				{
-					name: "malformed package",
-					provoke: func() error {
-						_, err := c.Submit(ctx, []byte("not a package"))
-						return err
-					},
-					sentinel: core.ErrMalformedPackage,
-				},
-				{
-					name: "expired package",
-					provoke: func() error {
-						_, err := c.Submit(ctx, expiredRaw)
-						return err
-					},
-					sentinel: core.ErrExpired,
-				},
-				{
-					name: "unknown bottle via reply",
-					provoke: func() error {
-						rep := &core.Reply{RequestID: "ghost", From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}
-						return c.Reply(ctx, "ghost", rep.Marshal())
-					},
-					sentinel: broker.ErrUnknownBottle,
-				},
-			}
-			for _, tc := range cases {
-				err := tc.provoke()
-				if err == nil {
-					t.Fatalf("%s: expected an error", tc.name)
-				}
-				if !errors.Is(err, tc.sentinel) {
-					t.Errorf("%s: errors.Is(%v, %v) = false over %s framing", tc.name, err, tc.sentinel, framing)
-				}
-				var re *RemoteError
-				if !errors.As(err, &re) {
-					t.Errorf("%s: %v is not a RemoteError — the server answered, pools must not retry", tc.name, err)
-				} else if re.Code == broker.CodeNone {
-					t.Errorf("%s: RemoteError carries no code", tc.name)
-				}
-			}
-			_ = pkg
-		})
+	cases := []struct {
+		name     string
+		provoke  func() error
+		sentinel error
+	}{
+		{
+			name:     "unknown bottle",
+			provoke:  func() error { _, err := c.Fetch(ctx, "no-such-bottle"); return err },
+			sentinel: broker.ErrUnknownBottle,
+		},
+		{
+			name:     "duplicate bottle",
+			provoke:  func() error { _, err := c.Submit(ctx, raw); return err },
+			sentinel: broker.ErrDuplicateBottle,
+		},
+		{
+			name: "bad query",
+			provoke: func() error {
+				_, err := c.Sweep(ctx, broker.SweepQuery{})
+				return err
+			},
+			sentinel: broker.ErrBadQuery,
+		},
+		{
+			name: "malformed package",
+			provoke: func() error {
+				_, err := c.Submit(ctx, []byte("not a package"))
+				return err
+			},
+			sentinel: core.ErrMalformedPackage,
+		},
+		{
+			name: "expired package",
+			provoke: func() error {
+				_, err := c.Submit(ctx, expiredRaw)
+				return err
+			},
+			sentinel: core.ErrExpired,
+		},
+		{
+			name: "unknown bottle via reply",
+			provoke: func() error {
+				rep := &core.Reply{RequestID: "ghost", From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}
+				return c.Reply(ctx, "ghost", rep.Marshal())
+			},
+			sentinel: broker.ErrUnknownBottle,
+		},
+	}
+	for _, tc := range cases {
+		err := tc.provoke()
+		if err == nil {
+			t.Fatalf("%s: expected an error", tc.name)
+		}
+		if !errors.Is(err, tc.sentinel) {
+			t.Errorf("%s: errors.Is(%v, %v) = false", tc.name, err, tc.sentinel)
+		}
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: %v is not a RemoteError — the server answered, pools must not retry", tc.name, err)
+		} else if re.Code == broker.CodeNone {
+			t.Errorf("%s: RemoteError carries no code", tc.name)
+		}
 	}
 }
 
@@ -181,46 +159,36 @@ func TestErrCodeBatchItemRoundTrip(t *testing.T) {
 	}
 }
 
-// TestErrCodeLegacyAndUnknownFallback covers the two decode fallback paths:
-// a legacy error frame (bare statusErr, no code) is classified by its
-// documented sentinel text — so errors.Is routing keeps working against a
-// pre-code server — while unrecognized legacy text stays identityless, and
-// an unknown future code keeps its numeric value and text without inventing
-// a sentinel.
-func TestErrCodeLegacyAndUnknownFallback(t *testing.T) {
-	if got := codeOfStatus(statusErr); got != broker.CodeNone {
-		t.Fatalf("codeOfStatus(statusErr) = %v, want CodeNone", got)
-	}
-	// A pre-code server answering the documented sentinel text (possibly
-	// wrapped) still decodes to the sentinel.
-	legacy := remoteError(statusErr, []byte("rack r1: "+broker.ErrUnknownBottle.Error()))
-	if !errors.Is(legacy, broker.ErrUnknownBottle) {
-		t.Fatalf("legacy sentinel text = %v, want errors.Is ErrUnknownBottle (rolling-upgrade routing)", legacy)
-	}
-	// Unrecognized legacy text stays identityless.
-	opaque := remoteError(statusErr, []byte("weird legacy failure"))
-	if opaque.Code != broker.CodeNone || opaque.Unwrap() != nil {
-		t.Fatalf("opaque legacy error acquired code %v", opaque.Code)
+// TestRemoteErrorStatusDecode covers the client-side status decode: every
+// real code round-trips through the status byte, an unknown future code
+// keeps its numeric value and text without inventing a sentinel, and a
+// nonzero status below 0x10 — which carries no code — is a malformed
+// response rather than text matched against the sentinels.
+func TestRemoteErrorStatusDecode(t *testing.T) {
+	for code := broker.CodeUnknownBottle; code <= broker.CodeDraining; code++ {
+		var re *RemoteError
+		if err := remoteError(statusOf(errorForCode(code)), []byte("x")); !errors.As(err, &re) || re.Code != code {
+			t.Fatalf("status round trip of %v = %v", code, err)
+		}
 	}
 
 	const futureCode = 200
-	unknown := &RemoteError{Msg: "some future failure", Code: codeOfStatus(broker.OutcomeCodeBase + futureCode)}
-	if unknown.Code != broker.ErrCode(futureCode) {
-		t.Fatalf("unknown code = %v, want %d preserved", unknown.Code, futureCode)
+	var unknown *RemoteError
+	if err := remoteError(broker.OutcomeCodeBase+futureCode, []byte("some future failure")); !errors.As(err, &unknown) {
+		t.Fatalf("future code decoded as %v, want *RemoteError", err)
+	}
+	if unknown.Code != broker.ErrCode(futureCode) || unknown.Msg != "some future failure" {
+		t.Fatalf("unknown code = %v %q, want %d and the text preserved", unknown.Code, unknown.Msg, futureCode)
 	}
 	if unknown.Unwrap() != nil {
 		t.Fatalf("unknown code unwrapped to %v, want nil", unknown.Unwrap())
 	}
-	for _, code := range []broker.ErrCode{broker.CodeNone, broker.CodeInternal, broker.ErrCode(futureCode)} {
-		if sent := code.Sentinel(); sent != nil {
-			t.Fatalf("code %v has sentinel %v, want none", code, sent)
-		}
-	}
 
-	// The status byte encoding round-trips every real code.
-	for code := broker.CodeUnknownBottle; code <= broker.CodeInternal; code++ {
-		if got := codeOfStatus(statusOf(errorForCode(code))); got != code {
-			t.Fatalf("status round trip of %v = %v", code, got)
+	for status := byte(1); status < broker.OutcomeCodeBase; status++ {
+		err := remoteError(status, []byte(broker.ErrUnknownBottle.Error()))
+		var re *RemoteError
+		if errors.As(err, &re) || errors.Is(err, broker.ErrUnknownBottle) || !errors.Is(err, broker.ErrMalformedFrame) {
+			t.Fatalf("status %#x = %v, want a malformed-frame error with no sentinel identity", status, err)
 		}
 	}
 }

@@ -14,26 +14,25 @@ import (
 	"time"
 )
 
-// Multiplexed ("pipelined") framing. A client that wants many in-flight
-// requests on one connection opens it with the 4-byte magic MuxMagic; every
-// subsequent frame in both directions is
+// Multiplexed ("pipelined") framing, the protocol's only framing. A client
+// opens every connection with the 4-byte magic MuxMagic; every subsequent
+// frame in both directions is
 //
 //	[4-byte big-endian length][8-byte big-endian sequence][1-byte tag][body]
 //
 // where length counts the sequence, tag and body (so length >= muxHeaderSize)
 // and is bounded by MaxFrameSize. The tag is an opcode on requests and a
 // status byte on responses; the server echoes the request's sequence number on
-// its response, and may answer out of order. Connections that do not open
-// with the magic speak the original lock-step framing (the magic is above
-// MaxFrameSize, so it can never be mistaken for a legacy length prefix).
+// its response, and may answer out of order, so one connection carries many
+// in-flight requests.
 //
 // Both ends write frames through a coalescing writer goroutine that flushes
 // only when its queue drains, so under pipelined load many frames ride one
 // syscall — on loopback this, not I/O overlap, is most of the throughput win.
 
-// MuxMagic is the connection preamble selecting the multiplexed framing
-// ("SBM1"). Its value exceeds MaxFrameSize so a legacy endpoint reading it as
-// a length prefix rejects the connection instead of desynchronizing.
+// MuxMagic is the connection preamble ("SBM1") that every connection sends
+// before its first frame; the server closes a connection that opens with
+// anything else.
 const MuxMagic uint32 = 0x53424D31
 
 // muxHeaderSize is the sequence + tag prefix counted by a mux frame's length.
@@ -283,8 +282,8 @@ type Mux struct {
 }
 
 // NewMux sends the mux preamble on an established connection and starts the
-// demuxing reader and coalescing writer. The connection must not have been
-// used for legacy framing.
+// demuxing reader and coalescing writer. The connection must be fresh: the
+// preamble has to be the first bytes the server reads.
 func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 	m := &Mux{
 		conn:    conn,

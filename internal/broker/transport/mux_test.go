@@ -13,6 +13,7 @@ import (
 
 	"sealedbottle/internal/broker"
 	"sealedbottle/internal/core"
+	"sealedbottle/internal/obs"
 )
 
 func newMuxPair(t *testing.T, opts ...Options) (*Mux, func()) {
@@ -336,4 +337,68 @@ func FuzzMuxFrame(f *testing.F) {
 			t.Fatalf("round trip mismatch: (%d,%d,%x) != (%d,%d,%x)", seq2, tag2, body2, seq, tag, body)
 		}
 	})
+}
+
+// FuzzServerPreamble feeds arbitrary opening bytes to a Server over a pipe
+// listener. The server must not panic, must close the connection (at the
+// latest on its short idle deadline), and must dispatch no operation unless
+// the bytes after the optional HELLO preamble are the SBM1 magic.
+func FuzzServerPreamble(f *testing.F) {
+	magic := binary.BigEndian.AppendUint32(nil, MuxMagic)
+	hello := binary.BigEndian.AppendUint32(nil, HelloMagic)
+	hello = binary.BigEndian.AppendUint16(hello, 3)
+	hello = append(hello, "tok"...)
+	stats := appendMuxFrame(nil, 1, OpStats, nil)
+	f.Add([]byte{})
+	f.Add(append(append([]byte{}, magic...), stats...))
+	f.Add(append(append(append([]byte{}, hello...), magic...), stats...))
+	f.Add(append([]byte{0, 0, 0, 1}, OpStats))                     // a lock-step Stats frame
+	f.Add(append(append([]byte{}, hello...), 0, 0, 0, 1, OpStats)) // HELLO, then lock-step
+	f.Add(append(append([]byte{}, hello[:5]...), magic...))        // truncated HELLO
+	f.Add(append([]byte("SBM0"), stats...))                        // wrong magic, valid frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rack := broker.New(broker.Config{Shards: 1, Workers: 1, ReapInterval: -1})
+		defer rack.Close()
+		metrics := NewServerMetrics(obs.NewRegistry())
+		l := ListenPipe()
+		srv := NewServer(rack, ServerOptions{ReadIdleTimeout: 5 * time.Millisecond, Metrics: metrics})
+		go srv.Serve(l)
+		defer func() { l.Close(); srv.Close() }()
+
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// A pipe write blocks until the server reads, so the bytes go from
+		// their own goroutine; one the server stops reading fails on close.
+		go conn.Write(data)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			t.Fatalf("connection not closed by the server: %v", err)
+		}
+
+		var dispatched uint64
+		for _, c := range metrics.requests {
+			if c != nil {
+				dispatched += c.Value()
+			}
+		}
+		if dispatched > 0 && !bytes.HasPrefix(postHello(data), magic) {
+			t.Fatalf("%d operations dispatched on a connection without the SBM1 magic", dispatched)
+		}
+	})
+}
+
+// postHello returns the bytes after the HELLO preamble, when data opens with a
+// complete one, and data itself otherwise.
+func postHello(data []byte) []byte {
+	if len(data) < 6 || binary.BigEndian.Uint32(data) != HelloMagic {
+		return data
+	}
+	n := 6 + int(binary.BigEndian.Uint16(data[4:]))
+	if len(data) < n {
+		return nil
+	}
+	return data[n:]
 }

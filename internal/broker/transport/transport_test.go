@@ -42,19 +42,8 @@ func buildRaw(tb testing.TB, seed int64) ([]byte, *core.RequestPackage) {
 	return raw, built.Package
 }
 
-// rackClient is the operation surface shared by the two client framings.
-type rackClient interface {
-	Submit(ctx context.Context, raw []byte) (string, error)
-	Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error)
-	Reply(ctx context.Context, requestID string, raw []byte) error
-	Fetch(ctx context.Context, requestID string) ([][]byte, error)
-	Stats(ctx context.Context) (broker.Stats, error)
-	Remove(ctx context.Context, requestID string) (bool, error)
-}
-
-// exerciseEndToEnd drives the full operation set through a client of either
-// framing.
-func exerciseEndToEnd(t *testing.T, c rackClient) {
+// exerciseEndToEnd drives the full operation set through a client.
+func exerciseEndToEnd(t *testing.T, c *Mux) {
 	t.Helper()
 	raw, pkg := buildRaw(t, 1)
 	id, err := c.Submit(context.Background(), raw)
@@ -120,44 +109,8 @@ func exerciseEndToEnd(t *testing.T, c rackClient) {
 	}
 }
 
-func TestEndToEndOverPipe(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
-	defer rack.Close()
-	l := ListenPipe()
-	srv := NewServer(rack)
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn)
-	defer c.Close()
-	exerciseEndToEnd(t, c)
-}
-
-func TestEndToEndOverTCP(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
-	defer rack.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	srv := NewServer(rack)
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseEndToEnd(t, c)
-}
-
-// TestConcurrentClients exercises many clients over the pipe listener at
-// once; its value is under -race.
+// TestConcurrentClients exercises many clients, each on its own connection,
+// over the pipe listener at once; its value is under -race.
 func TestConcurrentClients(t *testing.T) {
 	rack := broker.New(broker.Config{Shards: 8, Workers: 4, ReapInterval: -1})
 	defer rack.Close()
@@ -182,7 +135,11 @@ func TestConcurrentClients(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			c := NewClient(conn)
+			c, err := NewMux(conn)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			defer c.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 25; i++ {
@@ -227,10 +184,10 @@ func TestFrameLimits(t *testing.T) {
 		// Oversized frame announcement: 4-byte length beyond MaxFrameSize.
 		server.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	}()
-	if _, _, err := readFrame(client); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := readMuxFrame(client); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := writeFrame(client, 1, make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeMuxFrame(client, 1, OpSubmit, make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write err = %v, want ErrFrameTooLarge", err)
 	}
 }

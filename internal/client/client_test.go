@@ -144,18 +144,6 @@ func TestCourierMultiplexed(t *testing.T) {
 	exerciseCourier(t, c)
 }
 
-func TestCourierLegacyFraming(t *testing.T) {
-	cfg, _, cleanup := testServer(t)
-	defer cleanup()
-	cfg.Legacy = true
-	c, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseCourier(t, c)
-}
-
 // TestCourierReconnects proves the pool redials after the server drops an
 // idle connection.
 func TestCourierReconnects(t *testing.T) {
@@ -203,12 +191,13 @@ func TestDialValidatesConfig(t *testing.T) {
 }
 
 // TestCourierRemoveNotRetriedAfterTransportFailure is the misreported-Remove
-// regression test. The scripted first connection forwards the Remove frame
-// to the real server (which applies it) and then severs before relaying the
-// response. The old courier treated Remove as idempotent and retried on a
-// fresh connection, and the retry honestly answered held=false — for a
-// bottle this very call had just removed. The fix surfaces the transport
-// error instead, leaving the ambiguity visible to the caller.
+// regression test. The scripted first connection forwards the SBM1 preamble
+// and exactly one mux frame — the Remove — to the real server (which applies
+// it) and then severs before relaying the response. A courier that treats
+// Remove as idempotent retries on a fresh connection, and the retry honestly
+// answers held=false — for a bottle this very call had just removed. The
+// courier surfaces the transport error instead, leaving the ambiguity
+// visible to the caller.
 func TestCourierRemoveNotRetriedAfterTransportFailure(t *testing.T) {
 	cfg, rack, cleanup := testServer(t)
 	defer cleanup()
@@ -231,28 +220,34 @@ func TestCourierRemoveNotRetriedAfterTransportFailure(t *testing.T) {
 		go func() {
 			defer up.Close()
 			defer down.Close()
-			// Forward exactly one lock-step frame client→server.
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(down, lenBuf[:]); err != nil {
+			// Forward the preamble plus exactly one mux frame client→server:
+			// magic, length, then the sequence, opcode and body it counts.
+			var head [8]byte
+			if _, err := io.ReadFull(down, head[:]); err != nil {
 				return
 			}
-			body := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-			if _, err := io.ReadFull(down, body); err != nil {
+			if binary.BigEndian.Uint32(head[:4]) != transport.MuxMagic {
+				t.Errorf("connection opened with %x, want the SBM1 magic", head[:4])
 				return
 			}
-			if _, err := up.Write(lenBuf[:]); err != nil {
+			frame := make([]byte, binary.BigEndian.Uint32(head[4:]))
+			if _, err := io.ReadFull(down, frame); err != nil {
 				return
 			}
-			if _, err := up.Write(body); err != nil {
+			if len(frame) < 9 || frame[8] != transport.OpRemove {
+				t.Errorf("first frame %x is not a Remove", frame)
+				return
+			}
+			if _, err := up.Write(append(head[:], frame...)); err != nil {
 				return
 			}
 			// Wait for the server's response — proof the Remove was applied —
 			// then sever the client side without relaying it.
-			io.ReadFull(up, lenBuf[:])
+			io.ReadFull(up, head[:4])
 		}()
 		return client, nil
 	}
-	c, err := Dial(Config{Dialer: evilDial, Legacy: true})
+	c, err := Dial(Config{Dialer: evilDial})
 	if err != nil {
 		t.Fatal(err)
 	}
